@@ -13,7 +13,7 @@ PERF_STORE_BASELINE ?= bench/store-PR5.txt
 PERF_STORE_OUT ?= /tmp/store-perf.txt
 PERF_COUNT ?= 5
 
-.PHONY: all build test race vet check sarif fuzz-smoke chaos bench-json metrics-smoke obs-bench obs-overhead perf-smoke store-crash repl-crash serve-soak shard-soak ci
+.PHONY: all build test race vet check sarif fuzz-smoke chaos bench-json metrics-smoke obs-bench obs-overhead perf-smoke store-crash repl-crash serve-soak ci
 
 all: build vet test
 
@@ -119,9 +119,11 @@ perf-smoke:
 # at every WAL/segment/manifest/compaction write boundary (internal/faults),
 # the byte-level torn-tail truncation sweep, and the end-to-end ingest
 # crash-replay that resumes from Acknowledged()+Recovered() and must land
-# byte-identical to the uncrashed run.
+# byte-identical to the uncrashed run. The Mapped tests cover the mmap'd
+# segment path: its kill points, corruption caught at open and by scrub,
+# and mapped-vs-materialized equivalence.
 store-crash:
-	$(GO) test -race ./internal/store -count=1 -run 'KillPoint|TornTail|Corrupt|Recovery'
+	$(GO) test -race ./internal/store -count=1 -run 'KillPoint|TornTail|Corrupt|Recovery|Mapped'
 	$(GO) test -race . -count=1 -run 'TestDurableIngestCrashReplayMatrix|TestDurableIngestMatchesInMemory|TestPersistReopenDifferential|TestWatcherPersistCompaction'
 
 # Replication failover matrix under the race detector: kill points
@@ -144,14 +146,4 @@ serve-soak:
 	$(GO) test -race ./api/v1 -count=1
 	$(GO) test -race . -count=1 -run 'TestPlanCache'
 
-# Sharded-execution soak under the race detector: the differential
-# oracle matrix (every algorithm x shard counts x pinned/unpinned plans
-# vs reference.go), the mmap segment tests (kill points, corruption,
-# mapped-vs-materialized equivalence), and the public-API strategy
-# differential over Options.Shards.
-shard-soak:
-	$(GO) test -race ./internal/shard -count=1
-	$(GO) test -race ./internal/store -count=1 -run 'Mapped'
-	$(GO) test -race . -count=1 -run 'TestShardedStrategyDifferential|TestShardedEdgesEvaluated'
-
-ci: check test race fuzz-smoke chaos metrics-smoke obs-overhead store-crash repl-crash serve-soak shard-soak
+ci: check test race fuzz-smoke chaos metrics-smoke obs-overhead store-crash repl-crash serve-soak

@@ -86,7 +86,6 @@ serve flags:
                     (default 4MiB; negative = unlimited)
   -cost-per-medges T  extra quota tokens debited per million evaluated
                     edges; 0 keeps flat per-request quotas
-  -shards N         vertex shards for every evaluation (0 = unsharded)
   -no-sharing       disable cross-query common-graph sharing
   -strategy S       default strategy for requests that omit one
                     (default direct-hop-parallel)`)
@@ -103,7 +102,6 @@ func serveFlags(fs *flag.FlagSet) (listen *string, cfg func() (serve.Config, err
 	cache := fs.Int("cache", 0, "result-cache entries (0 = 512; negative disables)")
 	cacheMax := fs.Int64("cache-max-bytes", 0, "refuse caching results above this estimated size (0 = 4MiB; negative = unlimited)")
 	cost := fs.Float64("cost-per-medges", 0, "extra quota tokens debited per million evaluated edges (0 = flat per-request quotas)")
-	shards := fs.Int("shards", 0, "vertex shards for every evaluation (0 = unsharded)")
 	noShare := fs.Bool("no-sharing", false, "disable cross-query common-graph sharing")
 	strategy := fs.String("strategy", "", "default strategy for requests that omit one")
 	return listen, func() (serve.Config, error) {
@@ -115,7 +113,6 @@ func serveFlags(fs *flag.FlagSet) (listen *string, cfg func() (serve.Config, err
 			CostPerMillionEdges: *cost,
 			DisableSharing:      *noShare,
 		}
-		c.Options.Shards = *shards
 		if *strategy != "" {
 			s, err := commongraph.ParseStrategy(*strategy)
 			if err != nil {

@@ -141,16 +141,6 @@ type Options struct {
 	// larger values let incremental passes use cores. Values are exact
 	// either way — monotonic fixpoints are schedule-independent.
 	AsyncWorkers int
-	// Shards routes engine passes through the sharded executor
-	// (internal/shard): the vertex space splits into that many
-	// contiguous degree-balanced ranges, each with its own frontier,
-	// cross-shard edges flowing through per-shard inboxes with work
-	// stealing between shards. 0 or 1 keeps the unsharded engine.
-	// Values are exact at every shard count — monotonic fixpoints are
-	// schedule-independent — as the differential tests assert. Applies
-	// to the CommonGraph strategies and Independent; KickStarter's
-	// mutable adjacency has no flat CSR form and always runs unsharded.
-	Shards int
 	// KeepValues retains full per-snapshot value arrays in the result.
 	KeepValues bool
 	// Parallelism bounds concurrent hops for DirectHopParallel
@@ -205,7 +195,7 @@ func (o Options) tracer() *obs.Tracer {
 }
 
 func (o Options) engine() engine.Options {
-	return engine.Options{Workers: o.Workers, Mode: o.Scheduler, AsyncWorkers: o.AsyncWorkers, Shards: o.Shards}
+	return engine.Options{Workers: o.Workers, Mode: o.Scheduler, AsyncWorkers: o.AsyncWorkers}
 }
 
 // context resolves the evaluation context uniformly: every entry point

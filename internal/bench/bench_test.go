@@ -96,7 +96,7 @@ func TestFormattingHelpers(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(Experiments()) != 17 {
+	if len(Experiments()) != 16 {
 		t.Fatalf("experiments=%d", len(Experiments()))
 	}
 	if _, ok := ByName("table4"); !ok {
@@ -106,7 +106,7 @@ func TestRegistry(t *testing.T) {
 		t.Fatal("phantom experiment")
 	}
 	names := Names()
-	if len(names) != 17 || names[0] > names[len(names)-1] {
+	if len(names) != 16 || names[0] > names[len(names)-1] {
 		t.Fatalf("names=%v", names)
 	}
 	var buf bytes.Buffer

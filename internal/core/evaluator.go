@@ -14,7 +14,6 @@ import (
 	"commongraph/internal/faults"
 	"commongraph/internal/graph"
 	"commongraph/internal/obs"
-	"commongraph/internal/shard"
 )
 
 // Config selects what to evaluate over a window and how.
@@ -74,7 +73,7 @@ func solveCommon(g delta.Graph, cfg Config) (*engine.State, engine.Stats) {
 		return st, engine.Stats{}
 	}
 	sp := cfg.Trace.StartChild("common.solve")
-	st, stats := shard.Run(g, cfg.Algo, cfg.Source, cfg.Engine.WithSpan(sp))
+	st, stats := engine.Run(g, cfg.Algo, cfg.Source, cfg.Engine.WithSpan(sp))
 	sp.End()
 	return st, stats
 }
@@ -192,7 +191,6 @@ func DirectHop(rep *Rep, cfg Config) (*Result, error) {
 	if err := checkpoint(cfg.Ctx, faults.CoreEngineRun); err != nil {
 		return nil, err
 	}
-	cfg.Engine = rep.pinShardPlan(cfg.Engine)
 	res := &Result{}
 	t0 := time.Now()
 	baseState, stats := solveCommon(rep.Base, cfg)
@@ -218,7 +216,7 @@ func DirectHop(rep *Rep, cfg Config) (*Result, error) {
 		t3 := time.Now()
 		res.Cost.StateClone += t3.Sub(t2)
 
-		s := shard.IncrementalAdd(og, st, rep.Deltas[k].Edges(), cfg.Engine.WithSpan(sp))
+		s := engine.IncrementalAdd(og, st, rep.Deltas[k].Edges(), cfg.Engine.WithSpan(sp))
 		t4 := time.Now()
 		res.Cost.IncrementalAdd += t4.Sub(t3)
 		sp.End()
@@ -246,7 +244,6 @@ func DirectHopParallel(rep *Rep, cfg Config) (*Result, error) {
 	if err := checkpoint(cfg.Ctx, faults.CoreEngineRun); err != nil {
 		return nil, err
 	}
-	cfg.Engine = rep.pinShardPlan(cfg.Engine)
 	res := &Result{}
 	t0 := time.Now()
 	baseState, stats := solveCommon(rep.Base, cfg)
@@ -295,7 +292,7 @@ func DirectHopParallel(rep *Rep, cfg Config) (*Result, error) {
 				ov := delta.NewOverlay(rep.N, rep.Deltas[k])
 				og := delta.NewOverlayGraph(rep.Base, ov)
 				st := baseState.Clone()
-				shard.IncrementalAdd(og, st, rep.Deltas[k].Edges(), cfg.Engine.WithSpan(sp))
+				engine.IncrementalAdd(og, st, rep.Deltas[k].Edges(), cfg.Engine.WithSpan(sp))
 				durations[k] = time.Since(start)                         //cgvet:ignore lockdiscipline -- index-disjoint, one k per goroutine
 				res.Snapshots[k] = snapshotResult(k, st, cfg.KeepValues) //cgvet:ignore lockdiscipline -- index-disjoint, one k per goroutine
 			})
@@ -329,7 +326,6 @@ func WorkSharing(rep *Rep, tg *TG, sched *Schedule, cfg Config) (*Result, error)
 	if err := checkpoint(cfg.Ctx, faults.CoreEngineRun); err != nil {
 		return nil, err
 	}
-	cfg.Engine = rep.pinShardPlan(cfg.Engine)
 	res := &Result{}
 	t0 := time.Now()
 	baseState, stats := solveCommon(rep.Base, cfg)
@@ -419,7 +415,7 @@ func WorkSharing(rep *Rep, tg *TG, sched *Schedule, cfg Config) (*Result, error)
 			t3 := time.Now()
 			res.Cost.StateClone += t3.Sub(t2)
 
-			s := shard.IncrementalAddParts(og, child, edgeParts(spanLists), cfg.Engine.WithSpan(sp))
+			s := engine.IncrementalAddParts(og, child, edgeParts(spanLists), cfg.Engine.WithSpan(sp))
 			res.Cost.IncrementalAdd += time.Since(t3)
 			sp.SetAttr(obs.Int("batch", batchLen))
 			sp.End()

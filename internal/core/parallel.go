@@ -14,7 +14,6 @@ import (
 	"commongraph/internal/faults"
 	"commongraph/internal/graph"
 	"commongraph/internal/obs"
-	"commongraph/internal/shard"
 )
 
 // WorkSharingParallel executes a schedule with the root's child subtrees
@@ -42,7 +41,6 @@ func WorkSharingParallel(rep *Rep, tg *TG, sched *Schedule, cfg Config) (*Result
 	if err := checkpoint(cfg.Ctx, faults.CoreEngineRun); err != nil {
 		return nil, err
 	}
-	cfg.Engine = rep.pinShardPlan(cfg.Engine)
 	res := &Result{}
 	t0 := time.Now()
 	baseState, stats := solveCommon(rep.Base, cfg)
@@ -226,7 +224,7 @@ func walkSubtree(rep *Rep, labels map[GridEdge]graph.EdgeList, e *ScheduleEdge,
 	t2 := time.Now()
 	sub.Cost.OverlayBuild += t2.Sub(t1)
 
-	s := shard.IncrementalAddParts(og, st, edgeParts(spanLists), cfg.Engine.WithSpan(sp))
+	s := engine.IncrementalAddParts(og, st, edgeParts(spanLists), cfg.Engine.WithSpan(sp))
 	sub.Cost.IncrementalAdd += time.Since(t2)
 	sp.SetAttr(obs.Int("batch", batchLen))
 	sp.End()
@@ -277,7 +275,7 @@ func degradeSubtree(rep *Rep, e *ScheduleEdge, base *engine.State, cfg Config, s
 		t3 := time.Now()
 		sub.Cost.StateClone += t3.Sub(t2)
 
-		s := shard.IncrementalAdd(og, st, rep.Deltas[k].Edges(), cfg.Engine.WithSpan(sp))
+		s := engine.IncrementalAdd(og, st, rep.Deltas[k].Edges(), cfg.Engine.WithSpan(sp))
 		sub.Cost.IncrementalAdd += time.Since(t3)
 		sp.End()
 		sub.Work.Add(s)

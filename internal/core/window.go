@@ -7,10 +7,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"commongraph/internal/delta"
-	"commongraph/internal/engine"
 	"commongraph/internal/graph"
 	"commongraph/internal/snapshot"
 )
@@ -58,42 +56,6 @@ type Rep struct {
 	// Deltas[k] = E_{From+k} \ E_c: the Direct-Hop addition batch for the
 	// k-th snapshot of the window.
 	Deltas []*delta.Batch
-
-	// shardMu guards shardPlans, the per-shard-count memo of degree cuts
-	// over Base. Memoizing on the rep means every pass of one evaluation
-	// — and every ICG edge of a Work-Sharing schedule, and every query
-	// sharing this rep through the plan cache — reuses one plan instead
-	// of re-cutting per pass.
-	shardMu    sync.Mutex
-	shardPlans map[int][]graph.VertexID
-}
-
-// ShardStarts returns the memoized degree-balanced shard cut points for
-// this rep's base graph at the given shard count (len shards+1; see
-// graph.DegreeCuts). Safe for concurrent use; the returned slice is
-// immutable by contract.
-func (r *Rep) ShardStarts(shards int) []graph.VertexID {
-	r.shardMu.Lock()
-	defer r.shardMu.Unlock()
-	if p, ok := r.shardPlans[shards]; ok {
-		return p
-	}
-	if r.shardPlans == nil {
-		r.shardPlans = make(map[int][]graph.VertexID)
-	}
-	p := graph.DegreeCuts(r.Base.Out.Offsets(), shards)
-	r.shardPlans[shards] = p
-	return p
-}
-
-// pinShardPlan fills opt.ShardPlan from the rep's memo when sharding is
-// on and the caller did not pin a plan already. Every strategy entry
-// calls it once, so all passes of one evaluation share cuts.
-func (r *Rep) pinShardPlan(opt engine.Options) engine.Options {
-	if opt.Shards > 1 && len(opt.ShardPlan) == 0 {
-		opt.ShardPlan = r.ShardStarts(opt.Shards)
-	}
-	return opt
 }
 
 // BuildRep constructs the CommonGraph representation of a window.

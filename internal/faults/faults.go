@@ -63,6 +63,13 @@ const (
 	StoreManifestSwap Point = "store.manifest-swap"
 	StoreWALRotate    Point = "store.wal-rotate"
 	StoreCompact      Point = "store.compact"
+	// StoreMapOpen and StoreMapClose gate the mmap'd segment open path:
+	// the mmap(2) of a CRC-trailed segment file (before the mapping is
+	// handed to a reader) and the munmap on store Close. The crash matrix
+	// kills the open at each and asserts a clean error, no leaked
+	// mapping, and that a materializing reopen still serves the segment.
+	StoreMapOpen  Point = "store.map-open"
+	StoreMapClose Point = "store.map-close"
 	// The replication boundaries (internal/repl), in wire order: a frame
 	// write on the shipping side, a frame read on the receiving side, the
 	// follower's replay of one committed batch into its own store
@@ -80,13 +87,6 @@ const (
 	// here, commits a window behind its back, and asserts the stale-keyed
 	// insert can never be served.
 	ServeCacheInsert Point = "serve.cache-insert"
-	// ShardMapOpen and ShardMapClose gate the mmap'd segment open path:
-	// the mmap(2) of a CRC-trailed segment file (before the mapping is
-	// handed to a reader) and the munmap on store Close. The crash matrix
-	// kills the open at each and asserts a clean error, no leaked
-	// mapping, and that a materializing reopen still serves the segment.
-	ShardMapOpen  Point = "shard.map-open"
-	ShardMapClose Point = "shard.map-close"
 )
 
 // Points returns every named injection point, in declaration order — the
@@ -96,9 +96,9 @@ func Points() []Point {
 		StoreNewVersion, CoreEngineRun, CoreOverlayBuild, CoreSubtreeWalk,
 		CoreMaintainAppend, CoreMaintainAdvance, IngestWindowClose,
 		StoreWALAppend, StoreWALSync, StoreSegmentWrite, StoreManifestSwap,
-		StoreWALRotate, StoreCompact,
+		StoreWALRotate, StoreCompact, StoreMapOpen, StoreMapClose,
 		ReplShipFrame, ReplRecvFrame, ReplReplayBatch, ReplPromote,
-		ServeCacheInsert, ShardMapOpen, ShardMapClose,
+		ServeCacheInsert,
 	}
 }
 

@@ -45,48 +45,3 @@ func (s Stats) String() string {
 	return fmt.Sprintf("%-10s |V|=%-9d |E|=%-10d avg-deg=%-7.2f max-out=%-6d max-in=%-6d isolated=%d",
 		s.Name, s.Vertices, s.Edges, s.AvgDegree, s.MaxOutDeg, s.MaxInDeg, s.Isolated)
 }
-
-// DegreeCuts partitions the vertex space [0, n) into `parts` contiguous
-// ranges balanced by degree: offsets is a CSR offset array (offsets[v] =
-// cumulative out-degree before v, len n+1), and the returned cut points
-// (len parts+1, starts[0] = 0, starts[parts] = n) split the combined
-// weight degree(v)+1 evenly. The +1 vertex weight keeps zero-degree tails
-// from collapsing into one range and guarantees every range is nonempty
-// while parts <= n. This is the degree statistic the shard planner cuts
-// vertex shards from.
-func DegreeCuts(offsets []int32, parts int) []VertexID {
-	n := len(offsets) - 1
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > n && n > 0 {
-		parts = n
-	}
-	starts := make([]VertexID, parts+1)
-	starts[parts] = VertexID(n)
-	if n <= 0 {
-		return starts
-	}
-	// weight(v) = offsets[v] + v is strictly increasing, so each cut is a
-	// binary search for the first vertex at or past its share of the total.
-	total := int64(offsets[n]) + int64(n)
-	for k := 1; k < parts; k++ {
-		want := total * int64(k) / int64(parts)
-		lo, hi := int(starts[k-1])+1, n // strictly after the previous cut
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if int64(offsets[mid])+int64(mid) >= want {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		// Leave room for the remaining cuts: parts-k cuts still need
-		// strictly increasing positions below n.
-		if max := n - (parts - k); lo > max {
-			lo = max
-		}
-		starts[k] = VertexID(lo)
-	}
-	return starts
-}

@@ -63,10 +63,6 @@ const (
 	helpSegMapBytes  = "Bytes memory-mapped read-only from durable-store segments."
 	helpSegMapScrubs = "Mapped segments whose CRC trailer was verified by an on-demand scrub."
 	helpSegScrubBy   = "Bytes touched by mapped-segment CRC scrubs — a page-in proxy: each scrub walks the whole mapping, so this approximates the fault-in I/O a cold mapped read pays."
-	helpShardSteals  = "Chunks a sharded-executor worker took from a shard other than its home (cross-shard work stealing)."
-	helpShardInbox   = "Cross-shard relaxations routed through per-shard inboxes (messages drained in exchange phases)."
-	helpShardSupers  = "Sharded-executor supersteps (one relax + exchange round across all shards)."
-	helpShardPasses  = "Sharded-executor passes (a Run, Propagate, or incremental pass), by shard count."
 
 	helpTraceDropped = "Trace events discarded because a tracer's event buffer was full (a synthetic trace.dropped event marks the gap in the export)."
 	helpSlowQueries  = "Queries slower than the slow-log threshold, by strategy."
@@ -358,27 +354,6 @@ func SegmentMapScrubs() *Counter {
 // the repo's page-fault proxy for cold mapped reads.
 func SegmentMapScrubBytes() *Counter {
 	return Default().Counter("commongraph_store_segment_map_scrub_bytes_total", helpSegScrubBy)
-}
-
-// ShardSteals counts cross-shard chunk steals by the sharded executor.
-func ShardSteals() *Counter {
-	return Default().Counter("commongraph_shard_steals_total", helpShardSteals)
-}
-
-// ShardInboxMessages counts cross-shard relaxations routed through
-// per-shard inboxes.
-func ShardInboxMessages() *Counter {
-	return Default().Counter("commongraph_shard_inbox_messages_total", helpShardInbox)
-}
-
-// ShardSupersteps counts sharded-executor supersteps.
-func ShardSupersteps() *Counter {
-	return Default().Counter("commongraph_shard_supersteps_total", helpShardSupers)
-}
-
-// ShardPasses counts sharded-executor passes by shard count.
-func ShardPasses(shards string) *Counter {
-	return Default().Counter("commongraph_shard_passes_total", helpShardPasses, "shards", shards)
 }
 
 // ServeCacheAdmissionRejects counts result-cache inserts the admission

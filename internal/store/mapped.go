@@ -34,7 +34,7 @@ type mappedSeg struct {
 // structure (not its CRC). The file descriptor is closed before
 // returning — the mapping keeps the pages alive.
 func openSegmentMapped(dir, name string, wantKind uint32) (*mappedSeg, error) {
-	if err := faults.Check(faults.ShardMapOpen); err != nil {
+	if err := faults.Check(faults.StoreMapOpen); err != nil {
 		return nil, fmt.Errorf("store: map segment %s: %w", name, err)
 	}
 	sp := obs.Env().StartSpan("store.segment_map", obs.String("segment", name))
@@ -82,11 +82,11 @@ func (m *mappedSeg) verify() error {
 	return nil
 }
 
-// close unmaps the segment. The ShardMapClose kill point models a failed
+// close unmaps the segment. The StoreMapClose kill point models a failed
 // munmap; the mapping is released regardless so an injected fault never
 // leaks address space.
 func (m *mappedSeg) close() error {
-	ferr := faults.Check(faults.ShardMapClose)
+	ferr := faults.Check(faults.StoreMapClose)
 	if m.data != nil {
 		if err := munmapFile(m.data); err != nil && ferr == nil {
 			ferr = err

@@ -101,7 +101,7 @@ func TestMappedKillPointRecovery(t *testing.T) {
 	}
 
 	m := openMapped(t, dir)
-	disarm := faults.Arm(&faults.Plan{Specs: []faults.Spec{{Point: faults.ShardMapOpen, Times: 1}}})
+	disarm := faults.Arm(&faults.Plan{Specs: []faults.Spec{{Point: faults.StoreMapOpen, Times: 1}}})
 	_, err := m.Base()
 	if !errors.Is(err, faults.ErrInjected) {
 		disarm()
@@ -133,7 +133,7 @@ func TestMappedKillPointRecovery(t *testing.T) {
 	if _, err := m.Base(); err != nil {
 		t.Fatal(err)
 	}
-	disarm = faults.Arm(&faults.Plan{Specs: []faults.Spec{{Point: faults.ShardMapClose, Times: 1}}})
+	disarm = faults.Arm(&faults.Plan{Specs: []faults.Spec{{Point: faults.StoreMapClose, Times: 1}}})
 	err = m.Close()
 	disarm()
 	if !errors.Is(err, faults.ErrInjected) {

@@ -221,3 +221,23 @@ func TestWindowWidth(t *testing.T) {
 		t.Fatalf("width of [2,6] = %d", w)
 	}
 }
+
+// TestEdgesEvaluated: the evaluated-edge count surfaces on the public
+// result for every strategy — the quota service weights debits by it.
+func TestEdgesEvaluated(t *testing.T) {
+	g, _ := buildEvolving(t, 17, 4, 30, 20)
+	q := Query{Algorithm: BFS, Source: 0}
+	for _, s := range Strategies() {
+		res, err := g.Run(context.Background(), Request{
+			Query:    q,
+			Window:   Window{From: 0, To: 4},
+			Strategy: s,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", s.Slug(), err)
+		}
+		if res.EdgesEvaluated <= 0 {
+			t.Fatalf("%s: EdgesEvaluated = %d, want > 0", s.Slug(), res.EdgesEvaluated)
+		}
+	}
+}

@@ -10,9 +10,9 @@ import (
 )
 
 // TestPersistReopenDifferential is the acceptance differential: a graph
-// persisted to disk and reopened must answer every query identically to
-// the original under every evaluation strategy — same checksums, same
-// reached counts, same per-vertex values.
+// persisted to disk and reopened — materialized and memory-mapped — must
+// answer every query identically to the original under every evaluation
+// strategy: same checksums, same reached counts, same per-vertex values.
 func TestPersistReopenDifferential(t *testing.T) {
 	g, n := buildEvolving(t, 101, 6, 60, 60)
 	dir := filepath.Join(t.TempDir(), "s")
@@ -27,40 +27,61 @@ func TestPersistReopenDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumVertices() != n || r.NumSnapshots() != g.NumSnapshots() {
-		t.Fatalf("reopened shape: n=%d snaps=%d, want n=%d snaps=%d",
-			r.NumVertices(), r.NumSnapshots(), n, g.NumSnapshots())
+	// The mapped reopen serves its segments from read-only memory maps,
+	// which stay valid until the store closes.
+	ms, err := OpenStoreWith(dir, StoreOptions{MapSegments: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer func() {
+		if err := ms.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if !ms.Mapped() {
+		t.Fatal("MapSegments requested but store is not mapped")
+	}
+	reopened := []struct {
+		name string
+		g    *EvolvingGraph
+	}{{"materialized", r}, {"mapped", ms.Graph()}}
 	last := g.NumSnapshots() - 1
-	for _, algo := range []Algorithm{BFS, SSSP} {
-		for _, s := range Strategies() {
-			req := Request{
-				Query:    Query{Algorithm: algo, Source: 0},
-				Window:   Window{From: 0, To: last},
-				Strategy: s,
-				Options:  Options{KeepValues: true},
-			}
-			want, err := g.Run(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s/%v in-memory: %v", algo.Name(), s, err)
-			}
-			got, err := r.Run(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s/%v reopened: %v", algo.Name(), s, err)
-			}
-			if len(got.Snapshots) != len(want.Snapshots) {
-				t.Fatalf("%s/%v: %d snapshots, want %d", algo.Name(), s, len(got.Snapshots), len(want.Snapshots))
-			}
-			for k := range want.Snapshots {
-				a, b := want.Snapshots[k], got.Snapshots[k]
-				if a.Checksum != b.Checksum || a.Reached != b.Reached || a.Index != b.Index {
-					t.Fatalf("%s/%v snapshot %d: reopened store disagrees (checksum %016x vs %016x)",
-						algo.Name(), s, k, a.Checksum, b.Checksum)
+	for _, in := range reopened {
+		name, r := in.name, in.g
+		if r.NumVertices() != n || r.NumSnapshots() != g.NumSnapshots() {
+			t.Fatalf("%s reopened shape: n=%d snaps=%d, want n=%d snaps=%d",
+				name, r.NumVertices(), r.NumSnapshots(), n, g.NumSnapshots())
+		}
+		for _, algo := range []Algorithm{BFS, SSSP} {
+			for _, s := range Strategies() {
+				req := Request{
+					Query:    Query{Algorithm: algo, Source: 0},
+					Window:   Window{From: 0, To: last},
+					Strategy: s,
+					Options:  Options{KeepValues: true},
 				}
-				for v := 0; v < n; v++ {
-					if a.Values[v] != b.Values[v] {
-						t.Fatalf("%s/%v snapshot %d vertex %d: %v vs %v",
-							algo.Name(), s, k, v, a.Values[v], b.Values[v])
+				want, err := g.Run(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s/%v in-memory: %v", algo.Name(), s, err)
+				}
+				got, err := r.Run(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s/%v %s reopen: %v", algo.Name(), s, name, err)
+				}
+				if len(got.Snapshots) != len(want.Snapshots) {
+					t.Fatalf("%s/%v %s: %d snapshots, want %d", algo.Name(), s, name, len(got.Snapshots), len(want.Snapshots))
+				}
+				for k := range want.Snapshots {
+					a, b := want.Snapshots[k], got.Snapshots[k]
+					if a.Checksum != b.Checksum || a.Reached != b.Reached || a.Index != b.Index {
+						t.Fatalf("%s/%v snapshot %d: %s reopen disagrees (checksum %016x vs %016x)",
+							algo.Name(), s, k, name, a.Checksum, b.Checksum)
+					}
+					for v := 0; v < n; v++ {
+						if a.Values[v] != b.Values[v] {
+							t.Fatalf("%s/%v snapshot %d vertex %d: %v vs %s %v",
+								algo.Name(), s, k, v, a.Values[v], name, b.Values[v])
+						}
 					}
 				}
 			}
